@@ -659,11 +659,11 @@ const scanBatchSize = 512
 // costs more than it saves.
 const maxSerialScanTasks = 4
 
-// ScanRangesFunc is the pipelined scan: one task per (region × range)
-// runs on its region server, and each task applies process to every
-// pair *inside the worker* — decode, decompress and filter work
-// parallelizes across region-server slots instead of serializing on the
-// consumer. Only values that process keeps are batched and delivered to
+// ScanRangesFunc is the pipelined scan: each scan task (see
+// Store.scanTasks) runs on its region server, and each task applies
+// process to every pair *inside the worker* — decode, decompress and
+// filter work parallelizes across region-server slots instead of
+// serializing on the consumer. Only values that process keeps are batched and delivered to
 // emit (serially, in arbitrary inter-range order), so filtered-out
 // pairs are never copied out of the storage layer.
 //
@@ -849,7 +849,7 @@ type TaskCollector[B any] struct {
 }
 
 // ScanCollect is the columnar counterpart of ScanRangesFunc: instead of
-// a stateless per-pair process stage, each (region × range) task owns a
+// a stateless per-pair process stage, each scan task owns a
 // TaskCollector that folds pairs into batches inside the scan worker —
 // decode and filter work parallelizes across region-server slots, and
 // whole batches (not pairs) cross the worker → consumer boundary.

@@ -165,7 +165,8 @@ type Metrics struct {
 	// the in-worker process stage, ScanKept survived it and were
 	// delivered to the consumer (ScanPairs - ScanKept were filtered or
 	// dropped inside the workers), in ScanBatches batches across
-	// ScanTasks (region × range) scan tasks.
+	// ScanTasks scan tasks (one per region × range in-process, one per
+	// region on the routed fabric).
 	ScanTasks   int64
 	ScanPairs   int64
 	ScanKept    int64
@@ -254,7 +255,9 @@ type Metrics struct {
 	// fired for slow idempotent reads, of which RPCHedgeWins returned
 	// before the primary attempt; BreakerOpens circuit-breaker
 	// closed→open transitions, BreakerFastFails requests refused without
-	// a dial because the peer's breaker was open; RPCRedials transparent
+	// a dial because the peer's breaker was open; RPCDials connections
+	// dialed by the router's own rpc client (connection churn: a warm
+	// router serving scans keeps it flat); RPCRedials transparent
 	// retries after a stale pooled connection. DeadlineAborts counts
 	// region-server requests abandoned because the caller's propagated
 	// deadline expired; ScanCancels counts server-side scans torn down
@@ -263,6 +266,7 @@ type Metrics struct {
 	RPCHedgeWins     int64
 	BreakerOpens     int64
 	BreakerFastFails int64
+	RPCDials         int64
 	RPCRedials       int64
 	DeadlineAborts   int64
 	ScanCancels      int64

@@ -2,13 +2,18 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSkiplistPutGet(t *testing.T) {
@@ -311,6 +316,72 @@ func TestBlockCacheLRU(t *testing.T) {
 	}
 	if _, ok := c.get(1, 0); !ok {
 		t.Fatal("block 0 should survive")
+	}
+}
+
+// TestBlockCacheSharesConcurrentMisses starts many misses on one block
+// at once: one disk read serves them all, and a failed read is not
+// shared — each waiter then reads for itself.
+func TestBlockCacheSharesConcurrentMisses(t *testing.T) {
+	const callers = 16
+	run := func(c *blockCache, block int, read func() ([]byte, error)) (shared int, errs int) {
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				data, sh, err := c.load(1, block, read)
+				mu.Lock()
+				defer mu.Unlock()
+				if err != nil {
+					errs++
+					return
+				}
+				if string(data) != "block" {
+					t.Errorf("load returned %q", data)
+				}
+				if sh {
+					shared++
+				}
+			}()
+		}
+		wg.Wait()
+		return shared, errs
+	}
+
+	c := newBlockCache(1 << 20)
+	var reads atomic.Int64
+	release := make(chan struct{})
+	go func() {
+		// Hold the first read until the other callers are waiting on it.
+		for reads.Load() == 0 {
+			runtime.Gosched()
+		}
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+	}()
+	shared, errs := run(c, 0, func() ([]byte, error) {
+		reads.Add(1)
+		<-release
+		return []byte("block"), nil
+	})
+	if n := reads.Load(); n != 1 || shared != callers-1 || errs != 0 {
+		t.Fatalf("reads = %d, shared = %d, errs = %d; want 1 read shared by %d callers", n, shared, errs, callers-1)
+	}
+	if data, ok := c.get(1, 0); !ok || string(data) != "block" {
+		t.Fatal("loaded block not cached")
+	}
+
+	// Every read fails: no caller may get another caller's error
+	// without trying its own read.
+	reads.Store(0)
+	_, errs = run(c, 1, func() ([]byte, error) {
+		reads.Add(1)
+		return nil, errors.New("transient")
+	})
+	if n := reads.Load(); n != callers || errs != callers {
+		t.Fatalf("reads = %d, errs = %d; want each of %d callers to read and fail on its own", n, errs, callers)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestChaosPartitionMidScanConverges(t *testing.T) {
 
 	// Cut the scan stream after two frames, twice: the router must
 	// resume each time from just past the last delivered key.
-	ft.Add(TransportFaultRule{Op: rpc.OpScan, Prob: 1, Count: 2, AfterFrames: 2})
+	ft.Add(TransportFaultRule{Op: rpc.OpScanRanges, Prob: 1, Count: 2, AfterFrames: 2})
 	var prev []byte
 	got := 0
 	err := r.ScanRange(KeyRange{}, func(k, v []byte) bool {

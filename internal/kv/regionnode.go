@@ -53,10 +53,6 @@ const (
 // it by reseeding the replica from scratch.
 var errShipGap = errors.New("kv: ship sequence gap")
 
-// errScanDone stops a scan walk after its stream already ended with a
-// terminal frame (deadline abort); never sent on the wire.
-var errScanDone = errors.New("kv: scan terminated early")
-
 // RegionNode hosts regions on one region-server process: it owns their
 // LSM stores, serves the rpc surface (see the Handler method), ships
 // acknowledged batches synchronously to replica peers, and splits its
@@ -89,6 +85,8 @@ type RegionNode struct {
 // quiesce the region by taking mu. wmu serializes the primary's
 // apply+ship pairs — replicas apply batches in ship order, so local
 // apply order and ship order must agree — and guards replicas/repSeq.
+// seq and rateBytes are written under wmu but atomic, so the region-map
+// and status reports may read them under mu alone.
 type servedRegion struct {
 	id uint64
 	mu sync.RWMutex
@@ -102,10 +100,10 @@ type servedRegion struct {
 	wmu      sync.Mutex
 	replicas []string          // primary: replica peer addresses
 	repSeq   map[string]uint64 // primary: last acked ship seq per replica
-	seq      uint64            // replica: last applied ship seq
+	seq      atomic.Uint64     // replica: last applied ship seq
 
-	rateBytes int64 // bytes ingested in the current rate window
-	rateStart int64 // window start, unix nanos
+	rateBytes atomic.Int64 // bytes ingested in the current rate window
+	rateStart int64        // window start, unix nanos (guarded by wmu)
 }
 
 // nodeMeta is the persisted topology (nodemeta.json).
@@ -316,8 +314,8 @@ func (n *RegionNode) Handler() rpc.Handler {
 			return n.handleGet(ctx, payload, w)
 		case rpc.OpMultiGet:
 			return n.handleMultiGet(ctx, payload, w)
-		case rpc.OpScan:
-			return n.handleScan(ctx, payload, w)
+		case rpc.OpScan, rpc.OpScanRanges:
+			return n.handleScan(ctx, op, payload, w)
 		case rpc.OpShip:
 			return n.handleShip(payload, w)
 		case rpc.OpRegionMap:
@@ -406,9 +404,10 @@ func (n *RegionNode) handlePutBatch(ctx context.Context, payload []byte, w *rpc.
 func (n *RegionNode) noteWriteLocked(sr *servedRegion, bytes int64) {
 	now := time.Now().UnixNano()
 	if now-sr.rateStart > int64(splitRateWindow) {
-		sr.rateStart, sr.rateBytes = now, 0
+		sr.rateStart = now
+		sr.rateBytes.Store(0)
 	}
-	sr.rateBytes += bytes
+	sr.rateBytes.Add(bytes)
 }
 
 // shipLocked synchronously replicates one sealed batch payload to every
@@ -577,9 +576,24 @@ func (n *RegionNode) handleMultiGet(ctx context.Context, payload []byte, w *rpc.
 	return w.Send(rpc.OpResp, resp.Append(nil))
 }
 
-func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.ResponseWriter) error {
-	var req rpc.ScanReq
-	if err := req.Decode(payload); err != nil {
+// handleScan serves OpScan (one range) and OpScanRanges (many ranges of
+// one region) on one path. It takes the region read lock once and starts
+// one walker goroutine per range, so the ranges' block reads overlap as
+// much as separate streams' did, and sends their batches in request
+// order, so sorted, disjoint ranges yield one key-ordered stream. Each
+// walker queues at most one finished batch while it reads the next:
+// a walker that waited for the sender to take every batch would read a
+// multi-batch range one batch at a time. A deadline expiry, a client cancel or a send error stops every
+// walker, and all of them are joined before the lock is released.
+func (n *RegionNode) handleScan(ctx context.Context, op byte, payload []byte, w *rpc.ResponseWriter) error {
+	var req rpc.ScanRangesReq
+	if op == rpc.OpScan {
+		var one rpc.ScanReq
+		if err := one.Decode(payload); err != nil {
+			return w.SendErr(rpc.CodeBadRequest, err.Error())
+		}
+		req = rpc.ScanRangesReq{Region: one.Region, Epoch: one.Epoch, Ranges: []rpc.ScanRange{one.ScanRange}}
+	} else if err := req.Decode(payload); err != nil {
 		return w.SendErr(rpc.CodeBadRequest, err.Error())
 	}
 	if n.expired(ctx) {
@@ -590,60 +604,105 @@ func (n *RegionNode) handleScan(ctx context.Context, payload []byte, w *rpc.Resp
 		return sendKVErr(w, err)
 	}
 	// The read lock is held for the whole stream: a split cannot retire
-	// this region's store while the scan walks it, it queues behind the
+	// this region's store while the walkers read it, it queues behind the
 	// scan instead (writes keep flowing — they also use read locks).
 	defer sr.mu.RUnlock()
-	kr := KeyRange{Start: req.Start, End: req.End, Zoned: req.Zoned, ZMin: req.ZMin, ZMax: req.ZMax}
-	// emit flushes one batch, bailing out when the caller's propagated
-	// deadline expired (a terminal CodeDeadline ends the stream and
-	// errScanDone stops the walk) or the client canceled the stream —
-	// either way the consumer is gone, so the scan stops instead of
-	// walking the rest of the region into a dead connection.
-	emit := func(batch *rpc.ScanBatch) error {
-		if n.expired(ctx) {
-			if err := sendKVErr(w, ctx.Err()); err != nil {
+	wctx, stop := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer func() {
+		stop()
+		wg.Wait()
+	}()
+	chunks := make([]chan scanChunk, len(req.Ranges))
+	for i, rg := range req.Ranges {
+		ch := make(chan scanChunk, 1)
+		chunks[i] = ch
+		kr := KeyRange{Start: rg.Start, End: rg.End, Zoned: rg.Zoned, ZMin: rg.ZMin, ZMax: rg.ZMax}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walkRange(wctx, sr.r, kr, ch)
+		}()
+	}
+	for _, ch := range chunks {
+		for {
+			var c scanChunk
+			more := false
+			select {
+			case c, more = <-ch:
+			case <-ctx.Done():
+			}
+			// The caller's propagated deadline ends the stream with a
+			// terminal CodeDeadline, whether it expired while a walker was
+			// reading or between batches.
+			if n.expired(ctx) {
+				return sendKVErr(w, ctx.Err())
+			}
+			if !more {
+				break
+			}
+			if c.err != nil {
+				return sendKVErr(w, c.err)
+			}
+			if err := w.Send(rpc.OpScanBatch, c.payload); err != nil {
+				if errors.Is(err, rpc.ErrStreamCanceled) {
+					atomic.AddInt64(&n.met.ScanCancels, 1)
+				}
 				return err
 			}
-			return errScanDone
 		}
-		if err := w.Send(rpc.OpScanBatch, batch.Append(nil)); err != nil {
-			if errors.Is(err, rpc.ErrStreamCanceled) {
-				atomic.AddInt64(&n.met.ScanCancels, 1)
-			}
-			return err
+	}
+	return w.Send(rpc.OpScanEnd, nil)
+}
+
+// scanChunk is one encoded OpScanBatch payload from a range walker, or
+// the walker's iterator error.
+type scanChunk struct {
+	payload []byte
+	err     error
+}
+
+// walkRange reads one range of r into encoded OpScanBatch payloads and
+// hands them to out, closing out when the range is exhausted. It
+// returns as soon as ctx is canceled.
+func walkRange(ctx context.Context, r *region, kr KeyRange, out chan<- scanChunk) {
+	defer close(out)
+	done := ctx.Done()
+	send := func(c scanChunk) bool {
+		select {
+		case out <- c:
+			return true
+		case <-done:
+			return false
 		}
-		return nil
 	}
 	var batch rpc.ScanBatch
 	var size int
-	it := sr.r.Scan(kr)
+	it := r.Scan(kr)
 	defer it.Close()
 	for it.Next() {
+		select {
+		case <-done:
+			return
+		default:
+		}
 		batch.Keys = append(batch.Keys, append([]byte(nil), it.Key()...))
 		batch.Vals = append(batch.Vals, append([]byte(nil), it.Value()...))
 		size += len(it.Key()) + len(it.Value())
 		if len(batch.Keys) >= scanBatchSize || size >= reseedChunkBytes {
-			if err := emit(&batch); err != nil {
-				if errors.Is(err, errScanDone) {
-					return nil
-				}
-				return err
+			if !send(scanChunk{payload: batch.Append(nil)}) {
+				return
 			}
 			batch.Keys, batch.Vals, size = batch.Keys[:0], batch.Vals[:0], 0
 		}
 	}
 	if err := it.Err(); err != nil {
-		return sendKVErr(w, err)
+		send(scanChunk{err: err})
+		return
 	}
 	if len(batch.Keys) > 0 {
-		if err := emit(&batch); err != nil {
-			if errors.Is(err, errScanDone) {
-				return nil
-			}
-			return err
-		}
+		send(scanChunk{payload: batch.Append(nil)})
 	}
-	return w.Send(rpc.OpScanEnd, nil)
 }
 
 func (n *RegionNode) handleShip(payload []byte, w *rpc.ResponseWriter) error {
@@ -660,15 +719,14 @@ func (n *RegionNode) handleShip(payload []byte, w *rpc.ResponseWriter) error {
 		return sendKVErr(w, err)
 	}
 	sr.wmu.Lock()
-	if req.Seq != sr.seq+1 {
-		seq := sr.seq
+	if seq := sr.seq.Load(); req.Seq != seq+1 {
 		sr.wmu.Unlock()
 		sr.mu.RUnlock()
 		return sendKVErr(w, fmt.Errorf("%w: have %d, got %d", errShipGap, seq, req.Seq))
 	}
 	err = sr.r.applyBatch(muts)
 	if err == nil {
-		sr.seq = req.Seq
+		sr.seq.Store(req.Seq)
 	}
 	sr.wmu.Unlock()
 	sr.mu.RUnlock()
@@ -695,9 +753,9 @@ func (n *RegionNode) handleRegionMap(w *rpc.ResponseWriter) error {
 		info := rpc.RegionInfo{
 			ID: sr.id, Epoch: sr.epoch, Start: sr.kr.Start, End: sr.kr.End,
 			Role: sr.role, Replicas: append([]string(nil), sr.replicas...),
-			Bytes: sr.r.DiskSize(), LastSeq: sr.seq,
+			Bytes: sr.r.DiskSize(), LastSeq: sr.seq.Load(),
+			WriteBps: sr.rateBytes.Load() * int64(time.Second) / int64(splitRateWindow),
 		}
-		info.WriteBps = sr.rateBytes * int64(time.Second) / int64(splitRateWindow)
 		sr.mu.RUnlock()
 		resp.Regions = append(resp.Regions, info)
 	}
@@ -769,7 +827,7 @@ func (n *RegionNode) handleStatus(payload []byte, w *rpc.ResponseWriter) error {
 	sr.mu.RLock()
 	resp := rpc.StatusResp{
 		Region: sr.id, Epoch: sr.epoch, Role: sr.role,
-		LastSeq: sr.seq, Bytes: sr.r.DiskSize(),
+		LastSeq: sr.seq.Load(), Bytes: sr.r.DiskSize(),
 	}
 	sr.mu.RUnlock()
 	return w.Send(rpc.OpResp, rpc.MarshalAdmin(&resp))
@@ -859,7 +917,7 @@ func (n *RegionNode) handleMaintenance(w *rpc.ResponseWriter, fn func(*region) e
 // the same key into the same daughter IDs.
 func (n *RegionNode) maybeSplit(sr *servedRegion) {
 	sizeHot := n.opts.SplitBytes > 0 && sr.r.DiskSize() > n.opts.SplitBytes
-	rateHot := n.opts.SplitWriteBytes > 0 && atomic.LoadInt64(&sr.rateBytes) > n.opts.SplitWriteBytes &&
+	rateHot := n.opts.SplitWriteBytes > 0 && sr.rateBytes.Load() > n.opts.SplitWriteBytes &&
 		sr.r.DiskSize() > n.opts.SplitWriteBytes/4
 	if !sizeHot && !rateHot {
 		return

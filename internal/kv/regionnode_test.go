@@ -190,7 +190,7 @@ func TestRegionNodeShipGapReseeds(t *testing.T) {
 	sr := n2.regions[1]
 	n2.mu.Unlock()
 	sr.wmu.Lock()
-	sr.seq = 0
+	sr.seq.Store(0)
 	sr.wmu.Unlock()
 
 	if err := nodePut(t, lb, "n1", 1, 1, "k999", "v"); err != nil {

@@ -868,7 +868,11 @@ func (r *Router) ScanRange(kr KeyRange, emit func(key, value []byte) bool) error
 	return scanRangeOrdered(r, kr, emit)
 }
 
-// ScanRanges runs one scan task per (region × range) in parallel.
+// ScanRanges runs one scan task per region in parallel: each task
+// carries all of that region's sub-ranges in one OpScanRanges stream,
+// served on the region node by one walker per range. One stream per
+// (region × range) would dial a connection per range, since the pooled
+// client keeps only a few idle connections per peer.
 func (r *Router) ScanRanges(ctx context.Context, ranges []KeyRange, emit func(key, value []byte) bool) error {
 	return ScanRangesFunc(ctx, r, ranges, func(k, v []byte) (Pair, bool, error) {
 		return Pair{
@@ -878,60 +882,91 @@ func (r *Router) ScanRanges(ctx context.Context, ranges []KeyRange, emit func(ke
 	}, func(p Pair) bool { return emit(p.Key, p.Value) })
 }
 
-// scanTasks implements Store: one task per (cached region × range).
+// scanTasks implements Store: one task per cached region, holding that
+// region's sub-ranges sorted by start. A sub-range that overlaps the
+// previous one starts a new task, so every task streams disjoint ranges
+// in key order and each input range is still scanned on its own.
 // Staleness is fine — runScanTask re-routes as it goes, so a task only
-// needs to name a sub-range, not a live region.
+// needs to name sub-ranges, not a live region.
 func (r *Router) scanTasks(ranges []KeyRange) []scanTask {
 	regs := r.snapshot()
 	var tasks []scanTask
-	for _, kr := range ranges {
-		matched := false
-		for _, reg := range regs {
+	matched := make([]bool, len(ranges))
+	var subs []KeyRange
+	for _, reg := range regs {
+		subs = subs[:0]
+		for i, kr := range ranges {
 			if sub, ok := kr.Intersect(reg.kr); ok {
-				tasks = append(tasks, scanTask{kr: sub, id: reg.id})
-				matched = true
+				subs = append(subs, sub)
+				matched[i] = true
 			}
 		}
-		if !matched {
+		sort.Slice(subs, func(i, j int) bool { return startBefore(subs[i].Start, subs[j].Start) })
+		var cur []KeyRange
+		for _, sub := range subs {
+			if n := len(cur); n > 0 && cur[n-1].Overlaps(sub) {
+				tasks = append(tasks, scanTask{krs: cur})
+				cur = nil
+			}
+			cur = append(cur, sub)
+		}
+		if cur != nil {
+			tasks = append(tasks, scanTask{krs: cur})
+		}
+	}
+	for i, kr := range ranges {
+		if !matched[i] {
 			// Empty or hole-covered map: one task for the whole range,
 			// resolved at run time.
-			tasks = append(tasks, scanTask{kr: kr})
+			tasks = append(tasks, scanTask{krs: []KeyRange{kr}})
 		}
 	}
 	return tasks
 }
 
-// runScanTask streams one task's pairs in key order. Splits, merges and
-// moves can land mid-stream: on a stale or torn stream the task resumes
-// from just after the last delivered key against a refreshed map, so
-// the caller sees every key exactly once, in order, regardless of
-// topology changes underneath.
+// startBefore orders range starts, nil (-infinity) first.
+func startBefore(a, b []byte) bool {
+	if a == nil {
+		return b != nil
+	}
+	return b != nil && bytes.Compare(a, b) < 0
+}
+
+// runScanTask streams one task's pairs in key order: each request
+// carries every remaining range that starts in the region serving the
+// first one, clipped to it, and a range crossing the region's end
+// continues on the next region. Splits, merges and moves can land
+// mid-stream: on a stale or torn stream the task drops the ranges
+// already delivered, trims the one holding the last delivered key to
+// start just after it and re-routes the rest, so the caller sees every
+// key exactly once, in order, regardless of topology changes underneath.
 func (r *Router) runScanTask(ctx context.Context, t scanTask, emit func(key, value []byte) bool) error {
-	rem := t.kr
+	rem := append([]KeyRange(nil), t.krs...)
 	var resume []byte // last delivered key; nil until the first batch
 	attempts := 0
-	for {
-		reg, err := r.route(ctx, rem.Start)
+	for len(rem) > 0 {
+		reg, err := r.route(ctx, rem[0].Start)
 		if err != nil {
 			return err
 		}
-		sub, ok := rem.Intersect(reg.kr)
-		if !ok {
-			// rem.Start sits past this region (resume key beyond a region
-			// boundary); step to the region's end and re-route.
-			if reg.kr.End == nil || (rem.End != nil && bytes.Compare(reg.kr.End, rem.End) >= 0) {
-				return nil
+		req := rpc.ScanRangesReq{Region: reg.id, Epoch: reg.epoch}
+		for _, kr := range rem {
+			sub, ok := kr.Intersect(reg.kr)
+			if !ok {
+				break // this and every later range start past reg
 			}
-			rem.Start = reg.kr.End
+			req.Ranges = append(req.Ranges, rpc.ScanRange{
+				Start: sub.Start, End: sub.End,
+				Zoned: sub.Zoned, ZMin: sub.ZMin, ZMax: sub.ZMax,
+			})
+		}
+		if len(req.Ranges) == 0 {
+			// rem[0] is empty (its start is in reg but it holds no key).
+			rem = rem[1:]
 			continue
 		}
 		stopped := false
-		req := rpc.ScanReq{
-			Region: reg.id, Epoch: reg.epoch,
-			Start: sub.Start, End: sub.End,
-			Zoned: sub.Zoned, ZMin: sub.ZMin, ZMax: sub.ZMax,
-		}
-		err = r.doStream(ctx, reg.addr, rpc.OpScan, req.Append(nil), func(op byte, p []byte) (bool, error) {
+		err = r.doStream(ctx, reg.addr, rpc.OpScanRanges, req.Append(nil), func(op byte, p []byte) (bool, error) {
 			if op != rpc.OpScanBatch {
 				return true, nil
 			}
@@ -955,10 +990,10 @@ func (r *Router) runScanTask(ctx context.Context, t scanTask, emit func(key, val
 		}
 		if err == nil {
 			attempts = 0
-			if reg.kr.End == nil || (t.kr.End != nil && bytes.Compare(reg.kr.End, t.kr.End) >= 0) {
+			if reg.kr.End == nil {
 				return nil
 			}
-			rem.Start = reg.kr.End
+			rem = dropBelow(rem, reg.kr.End)
 			continue
 		}
 		if isStale(err) || rpc.IsTransport(err) {
@@ -972,16 +1007,30 @@ func (r *Router) runScanTask(ctx context.Context, t scanTask, emit func(key, val
 			if r.retryable(ctx, reg, err) {
 				if resume != nil {
 					// Resume just past the last delivered key. The emit
-					// contract stays exact-once: re-delivered keys below
-					// resume are impossible because the restarted scan
-					// starts strictly after it.
-					rem.Start = append(append([]byte(nil), resume...), 0)
+					// contract stays exact-once: re-delivered keys at or
+					// below resume are impossible because the restarted
+					// scan starts strictly after it.
+					rem = dropBelow(rem, append(append([]byte(nil), resume...), 0))
 				}
 				continue
 			}
 		}
 		return translateErr(err)
 	}
+	return nil
+}
+
+// dropBelow removes every key below bound from sorted, disjoint ranges:
+// ranges ending at or before it go, and the one containing it starts
+// at bound. rem is modified in place.
+func dropBelow(rem []KeyRange, bound []byte) []KeyRange {
+	for len(rem) > 0 && rem[0].End != nil && bytes.Compare(rem[0].End, bound) <= 0 {
+		rem = rem[1:]
+	}
+	if len(rem) > 0 && startBefore(rem[0].Start, bound) {
+		rem[0].Start = bound
+	}
+	return rem
 }
 
 func (r *Router) metrics() *Metrics { return &r.met }
@@ -1057,6 +1106,7 @@ func (r *Router) Metrics() Metrics {
 		st := r.own.Stats()
 		out.RPCBytesIn += st.BytesIn
 		out.RPCBytesOut += st.BytesOut
+		out.RPCDials += st.Conns
 		out.RPCRedials += st.Redials
 	}
 	opens, fastFails := r.health.counters()

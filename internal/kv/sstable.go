@@ -625,20 +625,31 @@ func (t *table) readBlockRaw(i int) ([]byte, error) {
 }
 
 // loadBlock returns the decompressed contents of block i, via the
-// cache. On a cache miss the disk bytes are checksum-verified before
-// they are decompressed or decoded.
+// cache. Concurrent misses on one block share a single disk read (see
+// blockCache.load); the callers that waited count as cache hits, since
+// they read nothing from disk.
 func (t *table) loadBlock(i int) ([]byte, error) {
-	if t.cache != nil {
-		if b, ok := t.cache.get(t.id, i); ok {
-			if t.metrics != nil {
-				atomic.AddInt64(&t.metrics.BlockCacheHits, 1)
-			}
-			return b, nil
-		}
-		if t.metrics != nil {
+	if t.cache == nil {
+		return t.readBlock(i)
+	}
+	b, hit := t.cache.get(t.id, i)
+	var err error
+	if !hit {
+		b, hit, err = t.cache.load(t.id, i, func() ([]byte, error) { return t.readBlock(i) })
+	}
+	if t.metrics != nil {
+		if hit {
+			atomic.AddInt64(&t.metrics.BlockCacheHits, 1)
+		} else {
 			atomic.AddInt64(&t.metrics.BlockCacheMisses, 1)
 		}
 	}
+	return b, err
+}
+
+// readBlock reads block i from disk and decompresses it. The disk bytes
+// are checksum-verified before they are decompressed or decoded.
+func (t *table) readBlock(i int) ([]byte, error) {
 	h := t.index[i]
 	buf, err := t.readBlockRaw(i)
 	if err != nil {
@@ -670,9 +681,6 @@ func (t *table) loadBlock(i int) ([]byte, error) {
 		// A codec id this build does not know: surface it as corruption
 		// rather than serving compressed bytes as data.
 		return nil, t.corruptBlock(i)
-	}
-	if t.cache != nil {
-		t.cache.put(t.id, i, buf)
 	}
 	return buf, nil
 }

@@ -47,8 +47,9 @@ type Store interface {
 	// ScanRange streams pairs of one range in key order; emit returning
 	// false stops the scan early.
 	ScanRange(kr KeyRange, emit func(key, value []byte) bool) error
-	// ScanRanges runs one scan task per (region × range) in parallel,
-	// delivering pairs to emit serially in arbitrary inter-range order.
+	// ScanRanges runs the ranges' scan tasks (see scanTasks) in
+	// parallel, delivering pairs to emit serially in arbitrary
+	// inter-range order.
 	ScanRanges(ctx context.Context, ranges []KeyRange, emit func(key, value []byte) bool) error
 	// Flush persists all memtables.
 	Flush() error
@@ -68,7 +69,9 @@ type Store interface {
 	// Close releases the store.
 	Close() error
 
-	// scanTasks splits ranges into one task per (region × range).
+	// scanTasks splits ranges into schedulable tasks: one per (region ×
+	// range) in-process, one per region (holding all of that region's
+	// sub-ranges) on the routed fabric.
 	scanTasks(ranges []KeyRange) []scanTask
 	// runScanTask streams one task's pairs in key order, handling node
 	// selection, retries and resume internally. The pairs passed to emit
@@ -82,11 +85,13 @@ type Store interface {
 	scanWidth() int
 }
 
-// scanTask is one schedulable unit of a parallel scan: a key sub-range
-// served by one region. Exactly one of the implementation fields is
-// set, matching the Store that produced it.
+// scanTask is one schedulable unit of a parallel scan, served by one
+// region. Exactly one shape is set, matching the Store that produced
+// it.
 type scanTask struct {
-	kr KeyRange
+	kr KeyRange      // *Cluster: the key sub-range
 	h  *regionHandle // *Cluster: the serving replication group
-	id uint64        // *Router: region id hint (re-resolved on staleness)
+	// *Router: sorted, disjoint sub-ranges of one cached region, streamed
+	// in one request (re-routed on staleness).
+	krs []KeyRange
 }

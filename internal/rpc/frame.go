@@ -27,13 +27,14 @@
 // exactly as before, so pre-envelope peers interoperate.
 //
 // One request frame yields one or more response frames: every request
-// is answered by a terminal OpResp or OpError, except scans, which
-// stream zero or more OpScanBatch frames before a terminal OpScanEnd
-// or OpError. Requests on one connection are strictly sequential; the
-// one exception is OpCancel, which a client may send mid-stream to
-// abandon a streaming response — the server tears the work down
-// instead of producing batches nobody reads. The routing client pools
-// connections for concurrency.
+// is answered by a terminal OpResp or OpError, except scans (OpScan for
+// one range, OpScanRanges for many ranges of one region in one
+// stream), which stream zero or more OpScanBatch frames before a
+// terminal OpScanEnd or OpError. Requests on one connection are
+// strictly sequential; the one exception is OpCancel, which a client
+// may send mid-stream to abandon a streaming response — the server
+// tears the work down instead of producing batches nobody reads. The
+// routing client pools connections for concurrency.
 package rpc
 
 import (
@@ -55,7 +56,7 @@ const (
 	OpPutBatch     byte = 0x02 // apply a batch envelope to a region
 	OpGet          byte = 0x03 // point read
 	OpMultiGet     byte = 0x04 // batched point reads
-	OpScan         byte = 0x05 // range scan; streams OpScanBatch frames
+	OpScan         byte = 0x05 // one-range scan; streams OpScanBatch frames
 	OpShip         byte = 0x06 // primary -> replica WAL-batch shipment
 	OpRegionMap    byte = 0x07 // list hosted regions (routing refresh)
 	OpCreateRegion byte = 0x08 // host a new region (bootstrap / reseed)
@@ -67,6 +68,7 @@ const (
 	OpFlush        byte = 0x0E // flush all hosted regions
 	OpCompact      byte = 0x0F // compact all hosted regions
 	OpStats        byte = 0x10 // node storage metrics snapshot
+	OpScanRanges   byte = 0x11 // many ranges of one region in one stream
 
 	// OpCancel is the one mid-stream request: the client abandons the
 	// streaming response in flight on this connection. The server stops

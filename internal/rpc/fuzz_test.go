@@ -38,7 +38,8 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDecodeMessages(f *testing.F) {
 	f.Add((&PutBatchReq{Region: 1, Epoch: 2, Payload: []byte("p")}).Append(nil))
 	f.Add((&MultiGetReq{Region: 1, Keys: [][]byte{[]byte("k")}}).Append(nil))
-	f.Add((&ScanReq{Region: 3, End: []byte("z"), Zoned: true, ZMin: -1, ZMax: 9}).Append(nil))
+	f.Add((&ScanReq{Region: 3, ScanRange: ScanRange{End: []byte("z"), Zoned: true, ZMin: -1, ZMax: 9}}).Append(nil))
+	f.Add((&ScanRangesReq{Region: 3, Ranges: []ScanRange{{End: []byte("z")}, {Start: []byte("z"), Zoned: true, ZMax: 9}}}).Append(nil))
 	f.Add((&ScanBatch{Keys: [][]byte{[]byte("k")}, Vals: [][]byte{[]byte("v")}}).Append(nil))
 	f.Add((&ShipReq{Region: 1, Seq: 7, Payload: []byte("b")}).Append(nil))
 	f.Add((&ValuesResp{Vals: [][]byte{nil, {}}}).Append(nil))
@@ -53,6 +54,8 @@ func FuzzDecodeMessages(f *testing.F) {
 		_ = vr.Decode(data)
 		var sr ScanReq
 		_ = sr.Decode(data)
+		var srs ScanRangesReq
+		_ = srs.Decode(data)
 		var sb ScanBatch
 		_ = sb.Decode(data)
 		var sh ShipReq

@@ -107,10 +107,28 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatalf("empty value not preserved: %#v", vr2.Vals[2])
 	}
 
-	sr := ScanReq{Region: 4, Epoch: 2, Start: nil, End: []byte("zz"), Zoned: true, ZMin: -5, ZMax: 1 << 40}
+	sr := ScanReq{Region: 4, Epoch: 2, ScanRange: ScanRange{Start: nil, End: []byte("zz"), Zoned: true, ZMin: -5, ZMax: 1 << 40}}
 	var sr2 ScanReq
 	if err := sr2.Decode(sr.Append(nil)); err != nil || sr2.Start != nil || string(sr2.End) != "zz" || !sr2.Zoned || sr2.ZMin != -5 || sr2.ZMax != 1<<40 {
 		t.Fatalf("scan: %+v err %v", sr2, err)
+	}
+
+	srs := ScanRangesReq{Region: 4, Epoch: 2, Ranges: []ScanRange{
+		{End: []byte("b")},
+		{Start: []byte("c"), End: []byte("d"), Zoned: true, ZMin: -5, ZMax: 7},
+		{Start: []byte{}},
+	}}
+	var srs2 ScanRangesReq
+	if err := srs2.Decode(srs.Append(nil)); err != nil || srs2.Region != 4 || srs2.Epoch != 2 || len(srs2.Ranges) != 3 {
+		t.Fatalf("scan ranges: %+v err %v", srs2, err)
+	}
+	if r0, r1, r2 := srs2.Ranges[0], srs2.Ranges[1], srs2.Ranges[2]; r0.Start != nil || string(r0.End) != "b" ||
+		string(r1.Start) != "c" || !r1.Zoned || r1.ZMin != -5 || r1.ZMax != 7 ||
+		r2.Start == nil || len(r2.Start) != 0 || r2.End != nil {
+		t.Fatalf("scan ranges bounds: %+v", srs2.Ranges)
+	}
+	if err := srs2.Decode(srs.Append(nil)[:5]); err == nil {
+		t.Fatal("truncated scan ranges decoded")
 	}
 
 	sb := ScanBatch{Keys: [][]byte{[]byte("k1"), []byte("k2")}, Vals: [][]byte{[]byte("v1"), []byte("v2")}}

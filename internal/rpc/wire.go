@@ -247,20 +247,16 @@ func (m *ValuesResp) Decode(p []byte) error {
 	return nil
 }
 
-// ScanReq streams a key subrange of one region in key order. Start/End
-// are nil-able bounds (nil = ±infinity); the optional zone interval is
-// a pruning hint forwarded to the region's SSTable zone maps.
-type ScanReq struct {
-	Region     uint64
-	Epoch      uint64
+// ScanRange is one key range of a scan request. Start/End are nil-able
+// bounds (nil = ±infinity); the optional zone interval is a pruning
+// hint forwarded to the region's SSTable zone maps.
+type ScanRange struct {
 	Start, End []byte
 	Zoned      bool
 	ZMin, ZMax int64
 }
 
-func (m *ScanReq) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, m.Region)
-	dst = binary.AppendUvarint(dst, m.Epoch)
+func (m *ScanRange) append(dst []byte) []byte {
 	dst = appendOptBytes(dst, m.Start)
 	dst = appendOptBytes(dst, m.End)
 	if !m.Zoned {
@@ -271,6 +267,52 @@ func (m *ScanReq) Append(dst []byte) []byte {
 	return binary.AppendVarint(dst, m.ZMax)
 }
 
+func (m *ScanRange) decode(p []byte) ([]byte, error) {
+	var err error
+	if m.Start, p, err = readOptBytes(p); err != nil {
+		return nil, err
+	}
+	if m.End, p, err = readOptBytes(p); err != nil {
+		return nil, err
+	}
+	if len(p) < 1 {
+		return nil, errShort
+	}
+	tag := p[0]
+	p = p[1:]
+	switch tag {
+	case 0:
+		m.Zoned = false
+		return p, nil
+	case 1:
+		m.Zoned = true
+		var n int
+		if m.ZMin, n = binary.Varint(p); n <= 0 {
+			return nil, errShort
+		}
+		p = p[n:]
+		if m.ZMax, n = binary.Varint(p); n <= 0 {
+			return nil, errShort
+		}
+		return p[n:], nil
+	default:
+		return nil, fmt.Errorf("rpc: bad zone tag %d", tag)
+	}
+}
+
+// ScanReq streams one key range of one region in key order (OpScan).
+type ScanReq struct {
+	Region uint64
+	Epoch  uint64
+	ScanRange
+}
+
+func (m *ScanReq) Append(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, m.Region)
+	dst = binary.AppendUvarint(dst, m.Epoch)
+	return m.ScanRange.append(dst)
+}
+
 func (m *ScanReq) Decode(p []byte) error {
 	var err error
 	if m.Region, p, err = readUvarint(p); err != nil {
@@ -279,35 +321,52 @@ func (m *ScanReq) Decode(p []byte) error {
 	if m.Epoch, p, err = readUvarint(p); err != nil {
 		return err
 	}
-	if m.Start, p, err = readOptBytes(p); err != nil {
+	_, err = m.ScanRange.decode(p)
+	return err
+}
+
+// ScanRangesReq streams many key ranges of one region in one stream
+// (OpScanRanges): the pairs of each range, in key order, ranges in
+// request order. Callers that send sorted, disjoint ranges therefore
+// receive one key-ordered stream.
+type ScanRangesReq struct {
+	Region uint64
+	Epoch  uint64
+	Ranges []ScanRange
+}
+
+func (m *ScanRangesReq) Append(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, m.Region)
+	dst = binary.AppendUvarint(dst, m.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Ranges)))
+	for i := range m.Ranges {
+		dst = m.Ranges[i].append(dst)
+	}
+	return dst
+}
+
+func (m *ScanRangesReq) Decode(p []byte) error {
+	var err error
+	if m.Region, p, err = readUvarint(p); err != nil {
 		return err
 	}
-	if m.End, p, err = readOptBytes(p); err != nil {
+	if m.Epoch, p, err = readUvarint(p); err != nil {
 		return err
 	}
-	if len(p) < 1 {
+	var n uint64
+	if n, p, err = readUvarint(p); err != nil {
+		return err
+	}
+	if n > uint64(len(p))/3 { // each range costs >= 3 bytes on the wire
 		return errShort
 	}
-	switch p[0] {
-	case 0:
-		m.Zoned = false
-		return nil
-	case 1:
-		m.Zoned = true
-		p = p[1:]
-		var n int
-		if m.ZMin, n = binary.Varint(p); n <= 0 {
-			return errShort
-		} else {
-			p = p[n:]
+	m.Ranges = make([]ScanRange, n)
+	for i := range m.Ranges {
+		if p, err = m.Ranges[i].decode(p); err != nil {
+			return err
 		}
-		if m.ZMax, n = binary.Varint(p); n <= 0 {
-			return errShort
-		}
-		return nil
-	default:
-		return fmt.Errorf("rpc: bad zone tag %d", p[0])
 	}
+	return nil
 }
 
 // ScanBatch is one streamed chunk of scan results: pairs in key order.

@@ -622,6 +622,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"rpc_bytes_in":              m.RPCBytesIn,
 		"rpc_bytes_out":             m.RPCBytesOut,
 		"rpc_retries":               m.RPCRetries,
+		"rpc_dials":                 m.RPCDials,
 		"rpc_redials":               m.RPCRedials,
 		"rpc_hedges":                m.RPCHedges,
 		"rpc_hedge_wins":            m.RPCHedgeWins,
